@@ -1129,7 +1129,9 @@ impl<'a> P<'a> {
                 }
             }
         }
-        decode_entities(&raw).map_err(|m| self.err(m))
+        decode_entities(&raw)
+            .map(|s| s.into_owned())
+            .map_err(|m| self.err(m))
     }
 
     fn number(&mut self) -> Result<Expr, XqError> {

@@ -310,9 +310,10 @@ pub fn step_name_stream(doc: &Document, ctx: &[u32], axis: Axis, test: NodeTest)
     debug_assert!(ctx.windows(2).all(|w| w[0] < w[1]));
     match (axis, test) {
         (Axis::Descendant | Axis::DescendantOrSelf, NodeTest::Name(n)) => {
-            let Some(stream) = doc.name_streams().elements.get(&n) else {
+            let stream = doc.name_streams().elements(n);
+            if stream.is_empty() {
                 return Vec::new();
-            };
+            }
             let or_self = axis == Axis::DescendantOrSelf;
             let mut out = Vec::new();
             let mut scanned_to: u32 = 0;
@@ -329,9 +330,10 @@ pub fn step_name_stream(doc: &Document, ctx: &[u32], axis: Axis, test: NodeTest)
             out
         }
         (Axis::Child, NodeTest::Name(n)) => {
-            let Some(stream) = doc.name_streams().elements.get(&n) else {
+            let stream = doc.name_streams().elements(n);
+            if stream.is_empty() {
                 return Vec::new();
-            };
+            }
             let mut out = Vec::new();
             for &v in ctx {
                 if !doc.kind(v).can_have_children() {
@@ -362,9 +364,10 @@ pub fn step_name_stream(doc: &Document, ctx: &[u32], axis: Axis, test: NodeTest)
             out
         }
         (Axis::Attribute, NodeTest::Name(n)) => {
-            let Some(stream) = doc.name_streams().attributes.get(&n) else {
+            let stream = doc.name_streams().attributes(n);
+            if stream.is_empty() {
                 return Vec::new();
-            };
+            }
             let mut out = Vec::new();
             for &v in ctx {
                 let (lo, hi) = (v + 1, v + doc.size(v) + 1);

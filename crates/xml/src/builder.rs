@@ -85,7 +85,7 @@ impl TreeBuilder {
             !*self.content_started.last().unwrap(),
             "attribute() after element content started"
         );
-        let text = self.doc.push_text_data(value.into());
+        let text = self.doc.push_text(value);
         self.push(NodeKind::Attribute, name, text)
     }
 
@@ -95,7 +95,7 @@ impl TreeBuilder {
         if content.is_empty() {
             return None;
         }
-        let text = self.doc.push_text_data(content.into());
+        let text = self.doc.push_text(content);
         let pre = self.push(NodeKind::Text, NameId::NONE, text);
         self.mark_content();
         Some(pre)
@@ -103,7 +103,7 @@ impl TreeBuilder {
 
     /// Append a comment node.
     pub fn comment(&mut self, content: &str) -> u32 {
-        let text = self.doc.push_text_data(content.into());
+        let text = self.doc.push_text(content);
         let pre = self.push(NodeKind::Comment, NameId::NONE, text);
         self.mark_content();
         pre
@@ -111,7 +111,7 @@ impl TreeBuilder {
 
     /// Append a processing-instruction node.
     pub fn processing_instruction(&mut self, target: NameId, content: &str) -> u32 {
-        let text = self.doc.push_text_data(content.into());
+        let text = self.doc.push_text(content);
         let pre = self.push(NodeKind::ProcessingInstruction, target, text);
         self.mark_content();
         pre
@@ -133,10 +133,11 @@ impl TreeBuilder {
         // Element subtrees splice columnar: the pre-order window
         // [src_pre, src_pre + size] lands verbatim except for three
         // rebased columns (levels shift by the destination depth,
-        // parents by the destination pre offset, text indices into the
-        // destination's text pool). Subtree sizes are pre-relative and
-        // copy unchanged. This replaces the per-node replay — one array
-        // extend per column instead of an open/close call per node.
+        // parents by the destination pre offset, text indices to fresh
+        // spans in the destination's text heap). Subtree sizes are
+        // pre-relative and copy unchanged. This replaces the per-node
+        // replay — one array extend per column instead of an open/close
+        // call per node.
         if src.kind(src_pre) == NodeKind::Element {
             let a = src_pre as usize;
             let b = a + src.size(src_pre) as usize + 1;
@@ -163,12 +164,11 @@ impl TreeBuilder {
                 }));
             d.texts.reserve(b - a);
             for &t in &src.texts[a..b] {
-                if t == NO_TEXT {
-                    d.texts.push(NO_TEXT);
-                } else {
-                    d.texts.push(d.text_data.len() as u32);
-                    d.text_data.push(src.text_data[t as usize].clone());
-                }
+                let t = match t {
+                    NO_TEXT => NO_TEXT,
+                    t => d.push_text(src.span(t)),
+                };
+                d.texts.push(t);
             }
             return;
         }

@@ -574,9 +574,9 @@ pub struct FragArena {
     /// Immutable name snapshot (the catalog pool, or a prepared plan's
     /// extension of it); ids below `names_base.len()` resolve here.
     names_base: Arc<NamePool>,
-    /// Names interned during this execution, ids `names_base.len()..`.
-    names_added: Vec<String>,
-    names_index: HashMap<String, NameId>,
+    /// Names interned during this execution; overlay id `i` is global id
+    /// `names_base.len() + i`.
+    names_added: NamePool,
 }
 
 impl FragArena {
@@ -597,8 +597,7 @@ impl FragArena {
             catalog,
             frags: Vec::new(),
             names_base: names,
-            names_added: Vec::new(),
-            names_index: HashMap::new(),
+            names_added: NamePool::new(),
         }
     }
 
@@ -636,20 +635,16 @@ impl FragArena {
         if let Some(id) = self.names_base.lookup(name) {
             return id;
         }
-        if let Some(&id) = self.names_index.get(name) {
-            return id;
-        }
-        let id = NameId((self.names_base.len() + self.names_added.len()) as u32);
-        self.names_added.push(name.to_owned());
-        self.names_index.insert(name.to_owned(), id);
-        id
+        let NameId(i) = self.names_added.intern(name);
+        NameId(self.names_base.len() as u32 + i)
     }
 
     /// Look up a name without interning it.
     pub fn lookup_name(&self, name: &str) -> Option<NameId> {
-        self.names_base
-            .lookup(name)
-            .or_else(|| self.names_index.get(name).copied())
+        self.names_base.lookup(name).or_else(|| {
+            let NameId(i) = self.names_added.lookup(name)?;
+            Some(NameId(self.names_base.len() as u32 + i))
+        })
     }
 }
 
@@ -667,7 +662,8 @@ impl NodeRead for FragArena {
         if i < self.names_base.len() {
             self.names_base.resolve(id)
         } else {
-            &self.names_added[i - self.names_base.len()]
+            self.names_added
+                .resolve(NameId((i - self.names_base.len()) as u32))
         }
     }
 }

@@ -25,6 +25,7 @@ pub mod atomize;
 pub mod axis;
 pub mod builder;
 pub mod catalog;
+pub mod fnv;
 pub mod name;
 pub mod parse;
 pub mod rng;

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned name. `NameId::NONE` marks unnamed nodes (text, comments,
 /// document roots).
@@ -37,10 +38,14 @@ impl fmt::Display for NameId {
 }
 
 /// Bidirectional string ↔ [`NameId`] mapping.
+///
+/// Each name is stored once: `names` and the keys of `index` share one
+/// `Arc<str>` allocation, so cloning a pool (lazy materialization parses
+/// against a scratch copy) bumps refcounts instead of copying strings.
 #[derive(Debug, Default, Clone)]
 pub struct NamePool {
-    names: Vec<String>,
-    index: HashMap<String, NameId>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, NameId>,
 }
 
 impl NamePool {
@@ -55,8 +60,9 @@ impl NamePool {
             return id;
         }
         let id = NameId(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, id);
         id
     }
 
@@ -73,15 +79,15 @@ impl NamePool {
         &self.names[id.0 as usize]
     }
 
-    /// All interned names, indexable by `NameId`.
-    pub fn names(&self) -> &[String] {
-        &self.names
+    /// All interned names, in `NameId` order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.names.iter().map(|n| &**n)
     }
 
     /// Resolve an id, returning `None` for `NameId::NONE` or ids beyond
     /// this pool (e.g. overlay-interned names of a later execution).
     pub fn get(&self, id: NameId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(String::as_str)
+        self.names.get(id.0 as usize).map(|n| &**n)
     }
 
     /// Number of distinct names interned so far.

@@ -9,10 +9,13 @@
 //! names.
 
 use crate::builder::TreeBuilder;
-use crate::name::NamePool;
+use crate::fnv::FnvHasher;
+use crate::name::{NameId, NamePool};
 use crate::tree::Document;
 use exrquy_diag::ErrorCode;
+use std::borrow::Cow;
 use std::fmt;
+use std::hash::Hasher;
 
 /// Default element-nesting ceiling: deep enough for any realistic
 /// document, shallow enough that recursive descent cannot overflow the
@@ -75,10 +78,21 @@ pub fn parse_document_with(
     pool: &mut NamePool,
     max_depth: usize,
 ) -> Result<Document, ParseError> {
+    // Text spans and pre ranks are `u32` offsets; decoded content is never
+    // longer than its source, so this bounds every one of them.
+    if u32::try_from(input.len()).is_err() {
+        return Err(ParseError {
+            offset: 0,
+            message: format!("document of {} bytes exceeds the 4 GiB limit", input.len()),
+            code: ErrorCode::EXRQ0001,
+            source: None,
+        });
+    }
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
-        pool,
+        names: Interner::new(pool),
         builder: TreeBuilder::new_document(),
         max_depth,
     };
@@ -91,15 +105,50 @@ pub fn parse_document_with(
     Ok(p.builder.finish())
 }
 
+/// A [`NamePool`] fronted by a direct-mapped memo of the names interned
+/// so far. A document repeats a few dozen tag names thousands of times;
+/// the memo answers those repeats with one FNV-1a hash and one string
+/// comparison instead of the pool's keyed (slower) hash-table probe. A
+/// memo hit is always checked against the name itself, so names crafted
+/// to collide under FNV only cause misses, which fall through to the
+/// pool — they cannot slow interning below the pool's own speed.
+struct Interner<'p> {
+    pool: &'p mut NamePool,
+    memo: [NameId; 256],
+}
+
+impl<'p> Interner<'p> {
+    fn new(pool: &'p mut NamePool) -> Self {
+        Interner {
+            pool,
+            memo: [NameId::NONE; 256],
+        }
+    }
+
+    fn intern(&mut self, name: &str) -> NameId {
+        let mut h = FnvHasher::default();
+        h.write(name.as_bytes());
+        let slot = &mut self.memo[h.finish() as usize % 256];
+        if self.pool.get(*slot) != Some(name) {
+            *slot = self.pool.intern(name);
+        }
+        *slot
+    }
+}
+
+/// Every `&str` the parser hands on borrows from `input`; positions only
+/// ever stop at ASCII delimiters, so slicing `input` between them never
+/// splits a UTF-8 sequence and needs no re-validation.
 struct Parser<'a, 'p> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    pool: &'p mut NamePool,
+    names: Interner<'p>,
     builder: TreeBuilder,
     max_depth: usize,
 }
 
-impl Parser<'_, '_> {
+impl<'a> Parser<'a, '_> {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -193,7 +242,7 @@ impl Parser<'_, '_> {
             || (!first && (b.is_ascii_digit() || b == b'-' || b == b'.'))
     }
 
-    fn parse_name(&mut self) -> Result<&str, ParseError> {
+    fn parse_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         if !self.peek().is_some_and(|b| Self::is_name_byte(b, true)) {
             return Err(self.err("expected a name"));
@@ -201,9 +250,20 @@ impl Parser<'_, '_> {
         while self.peek().is_some_and(|b| Self::is_name_byte(b, false)) {
             self.pos += 1;
         }
-        // Safety: name bytes keep UTF-8 boundaries (multi-byte sequences are
+        // Name bytes keep UTF-8 boundaries (multi-byte sequences are
         // accepted wholesale via `b >= 0x80`).
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("valid utf8 slice"))
+        Ok(&self.input[start..self.pos])
+    }
+
+    /// Advance to the next `stop` byte (or the end of input), returning
+    /// the text skipped over.
+    fn take_until(&mut self, stop: u8) -> &'a str {
+        let start = self.pos;
+        self.pos += self.bytes[start..]
+            .iter()
+            .position(|&b| b == stop)
+            .unwrap_or(self.bytes.len() - start);
+        &self.input[start..self.pos]
     }
 
     /// Parse one element (the document root) and everything inside it.
@@ -214,7 +274,7 @@ impl Parser<'_, '_> {
     /// deeply-nested input cannot overflow the stack no matter how small
     /// the calling thread's stack is.
     fn parse_element(&mut self) -> Result<(), ParseError> {
-        let mut open: Vec<String> = Vec::new();
+        let mut open: Vec<&'a str> = Vec::new();
         'start_tag: loop {
             // Positioned at a start tag `<name …`.
             if open.len() >= self.max_depth {
@@ -226,8 +286,8 @@ impl Parser<'_, '_> {
                 });
             }
             self.expect("<")?;
-            let name = self.parse_name()?.to_owned();
-            let name_id = self.pool.intern(&name);
+            let name = self.parse_name()?;
+            let name_id = self.names.intern(name);
             self.builder.open_element(name_id);
 
             // Attributes.
@@ -246,8 +306,8 @@ impl Parser<'_, '_> {
                         break;
                     }
                     Some(_) => {
-                        let attr = self.parse_name()?.to_owned();
-                        let attr_id = self.pool.intern(&attr);
+                        let attr = self.parse_name()?;
+                        let attr_id = self.names.intern(attr);
                         self.skip_ws();
                         self.expect("=")?;
                         self.skip_ws();
@@ -256,12 +316,7 @@ impl Parser<'_, '_> {
                             _ => return Err(self.err("expected quoted attribute value")),
                         };
                         self.pos += 1;
-                        let raw_start = self.pos;
-                        while self.peek().is_some_and(|b| b != quote) {
-                            self.pos += 1;
-                        }
-                        let raw = std::str::from_utf8(&self.bytes[raw_start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8 in attribute value"))?;
+                        let raw = self.take_until(quote);
                         let value = decode_entities(raw).map_err(|m| self.err(m))?;
                         // `quote` is ASCII (`"` or `'`), so the one-byte slice
                         // is always valid UTF-8.
@@ -284,7 +339,7 @@ impl Parser<'_, '_> {
             loop {
                 if self.starts_with("</") {
                     self.pos += 2;
-                    let end_name = self.parse_name()?.to_owned();
+                    let end_name = self.parse_name()?;
                     // Invariant: the content loop only runs with at least one
                     // open element (self-closing roots returned above).
                     let name = open.pop().expect("open element stack non-empty");
@@ -303,28 +358,22 @@ impl Parser<'_, '_> {
                     let start = self.pos + 4;
                     let end = find(self.bytes, start, "-->")
                         .ok_or_else(|| self.err("unterminated comment"))?;
-                    let content = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in comment"))?;
-                    self.builder.comment(content);
+                    self.builder.comment(&self.input[start..end]);
                     self.pos = end + 3;
                 } else if self.starts_with("<![CDATA[") {
                     let start = self.pos + 9;
                     let end = find(self.bytes, start, "]]>")
                         .ok_or_else(|| self.err("unterminated CDATA section"))?;
-                    let content = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in CDATA"))?;
-                    self.builder.text(content);
+                    self.builder.text(&self.input[start..end]);
                     self.pos = end + 3;
                 } else if self.starts_with("<?") {
                     self.pos += 2;
-                    let target = self.parse_name()?.to_owned();
-                    let target_id = self.pool.intern(&target);
+                    let target = self.parse_name()?;
+                    let target_id = self.names.intern(target);
                     let start = self.pos;
                     let end =
                         find(self.bytes, start, "?>").ok_or_else(|| self.err("unterminated PI"))?;
-                    let content = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in PI"))?
-                        .trim_start();
+                    let content = self.input[start..end].trim_start();
                     self.builder.processing_instruction(target_id, content);
                     self.pos = end + 2;
                 } else if self.starts_with("<") {
@@ -334,12 +383,7 @@ impl Parser<'_, '_> {
                     return Err(self.err(format!("unexpected end of input inside `<{name}>`")));
                 } else {
                     // Character data up to the next `<`.
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'<') {
-                        self.pos += 1;
-                    }
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in character data"))?;
+                    let raw = self.take_until(b'<');
                     let text = decode_entities(raw).map_err(|m| self.err(m))?;
                     self.builder.text(&text);
                 }
@@ -360,6 +404,7 @@ impl Parser<'_, '_> {
 /// parser's names — materialization verifies this and re-parsing can run
 /// against a frozen pool.
 pub fn scan_names(input: &str, pool: &mut NamePool) {
+    let mut names = Interner::new(pool);
     let bytes = input.as_bytes();
     let mut pos = 0;
     while pos < bytes.len() {
@@ -390,7 +435,7 @@ pub fn scan_names(input: &str, pool: &mut NamePool) {
             Some(b'?') => {
                 pos += 1;
                 if let Some(name) = scan_name(bytes, &mut pos) {
-                    pool.intern(name);
+                    names.intern(name);
                 }
                 match find(bytes, pos, "?>") {
                     Some(i) => pos = i + 2,
@@ -399,7 +444,7 @@ pub fn scan_names(input: &str, pool: &mut NamePool) {
             }
             Some(_) => {
                 if let Some(name) = scan_name(bytes, &mut pos) {
-                    pool.intern(name);
+                    names.intern(name);
                 } else {
                     continue;
                 }
@@ -417,7 +462,7 @@ pub fn scan_names(input: &str, pool: &mut NamePool) {
                         }
                         Some(&b) if Parser::is_name_byte(b, true) => {
                             if let Some(name) = scan_name(bytes, &mut pos) {
-                                pool.intern(name);
+                                names.intern(name);
                             }
                             while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
                                 pos += 1;
@@ -473,9 +518,10 @@ fn find(haystack: &[u8], from: usize, needle: &str) -> Option<usize> {
 }
 
 /// Decode the predefined entities and numeric character references.
-pub fn decode_entities(raw: &str) -> Result<String, String> {
+/// Text without a `&` is returned borrowed, without copying.
+pub fn decode_entities(raw: &str) -> Result<Cow<'_, str>, String> {
     if !raw.contains('&') {
-        return Ok(raw.to_owned());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -508,7 +554,7 @@ pub fn decode_entities(raw: &str) -> Result<String, String> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -617,6 +663,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn interner_memo_agrees_with_the_pool() {
+        // Far more names than memo slots, revisited in a different order:
+        // every evicted or colliding slot must fall back to the pool.
+        let names: Vec<String> = (0..1000).map(|i| format!("n{}", i * 7919 % 1000)).collect();
+        let mut memo_pool = NamePool::new();
+        let mut interner = Interner::new(&mut memo_pool);
+        let via_memo: Vec<NameId> = names
+            .iter()
+            .chain(names.iter().rev())
+            .map(|n| interner.intern(n))
+            .collect();
+        let mut plain = NamePool::new();
+        let direct: Vec<NameId> = names
+            .iter()
+            .chain(names.iter().rev())
+            .map(|n| plain.intern(n))
+            .collect();
+        assert_eq!(via_memo, direct);
+        assert_eq!(memo_pool.len(), 1000);
     }
 
     #[test]

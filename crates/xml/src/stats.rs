@@ -23,9 +23,9 @@
 //! after materialization; that can change which plan the cost model
 //! prefers, never what any plan returns.
 
+use crate::fnv::FnvMap;
 use crate::name::{NameId, NamePool};
 use crate::tree::{Document, NodeKind};
-use std::collections::HashMap;
 
 /// Node-count and value statistics for one fragment.
 #[derive(Debug, Clone, Default)]
@@ -33,13 +33,13 @@ pub struct FragStats {
     /// Total encoded nodes (estimated for unmaterialized fragments).
     pub nodes: u64,
     /// Element count per element name.
-    pub elem_counts: HashMap<NameId, u64>,
+    pub elem_counts: FnvMap<NameId, u64>,
     /// Attribute count per attribute name.
-    pub attr_counts: HashMap<NameId, u64>,
+    pub attr_counts: FnvMap<NameId, u64>,
     /// Min/max sketch of integer-parsing values, keyed by the attribute
     /// name (for attribute values) or the enclosing element name (for
     /// element text).
-    pub int_ranges: HashMap<NameId, (i64, i64)>,
+    pub int_ranges: FnvMap<NameId, (i64, i64)>,
     /// Total elements (denominator of the fanout average).
     pub elements: u64,
     /// Total element-children-of-elements (numerator of the fanout
@@ -74,11 +74,11 @@ pub struct CatalogStats {
     /// Fragment (≈ document root) count.
     pub frags: u64,
     /// Catalog-wide element count per element name.
-    pub elem_counts: HashMap<NameId, u64>,
+    pub elem_counts: FnvMap<NameId, u64>,
     /// Catalog-wide attribute count per attribute name.
-    pub attr_counts: HashMap<NameId, u64>,
+    pub attr_counts: FnvMap<NameId, u64>,
     /// Catalog-wide min/max integer-value sketches (see [`FragStats`]).
-    pub int_ranges: HashMap<NameId, (i64, i64)>,
+    pub int_ranges: FnvMap<NameId, (i64, i64)>,
     /// Catalog-wide element count.
     pub elements: u64,
     /// Average element children per element (child-step fanout).

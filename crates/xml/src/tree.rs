@@ -8,8 +8,10 @@
 //! * its interned name (elements, attributes, processing instructions),
 //! * `size` — the number of nodes in its subtree excluding itself (so the
 //!   descendants of `v` occupy exactly the pre ranks `v+1 ..= v+size(v)`),
-//! * `level` — its depth, and
-//! * `parent` — the pre rank of its parent (`u32::MAX` for the root).
+//! * `level` — its depth,
+//! * `parent` — the pre rank of its parent (`u32::MAX` for the root), and
+//! * for text, attribute, comment and PI nodes, a span of the fragment's
+//!   one text heap holding their string content.
 //!
 //! Attribute nodes are materialized in the preorder sequence directly after
 //! their owner element and before the element's children; this gives
@@ -56,7 +58,7 @@ impl fmt::Display for NodeKind {
 /// Sentinel parent rank of root nodes.
 pub const NO_PARENT: u32 = u32::MAX;
 
-/// Index into a document's text data, or `NO_TEXT`.
+/// Span index of nodes without string content (documents, elements).
 pub const NO_TEXT: u32 = u32::MAX;
 
 /// One encoded XML fragment.
@@ -69,13 +71,18 @@ pub struct Document {
     pub sizes: Vec<u32>,
     pub levels: Vec<u16>,
     pub parents: Vec<u32>,
-    /// Per-node index into `text_data` (text content of text nodes, value of
-    /// attributes, content of comments/PIs); `NO_TEXT` otherwise.
-    pub texts: Vec<u32>,
-    /// Shared string content referenced from `texts`. Entries are
-    /// `Arc<str>` so a subtree splice ([`TreeBuilder::copy_subtree`])
-    /// copies text by refcount bump, not by reallocating every string.
-    pub text_data: Vec<std::sync::Arc<str>>,
+    /// Per-node span index into the text heap (text content of text
+    /// nodes, value of attributes, content of comments/PIs); `NO_TEXT`
+    /// otherwise.
+    pub(crate) texts: Vec<u32>,
+    /// The fragment's text heap: every span's bytes, back to back. Span
+    /// `i` is `text_heap[text_ends[i - 1]..text_ends[i]]` (span 0 starts
+    /// at 0), so a fragment holds all its string content in two
+    /// allocations instead of one per node, and an empty span (`b=""`)
+    /// stays distinct from `NO_TEXT`.
+    text_heap: String,
+    /// End offset of each span in `text_heap`; non-decreasing.
+    text_ends: Vec<u32>,
     /// Lazily built per-name element/attribute streams (sorted pre rank
     /// lists) — the tag-name-based access paths of TwigStack-style step
     /// evaluation (paper §1). Built on first use by
@@ -89,10 +96,80 @@ pub struct Document {
 /// Per-name sorted preorder streams.
 #[derive(Debug, Default, Clone)]
 pub struct NameStreams {
-    /// Element name → ascending pre ranks of elements with that name.
-    pub elements: std::collections::HashMap<NameId, Vec<u32>>,
-    /// Attribute name → ascending pre ranks of attributes with that name.
-    pub attributes: std::collections::HashMap<NameId, Vec<u32>>,
+    elements: NameIndex,
+    attributes: NameIndex,
+}
+
+impl NameStreams {
+    /// Ascending pre ranks of the elements named `name` (empty if none).
+    pub fn elements(&self, name: NameId) -> &[u32] {
+        self.elements.get(name)
+    }
+
+    /// Ascending pre ranks of the attributes named `name` (empty if none).
+    pub fn attributes(&self, name: NameId) -> &[u32] {
+        self.attributes.get(name)
+    }
+}
+
+/// Name → ascending pre ranks, in one flat buffer: the run of
+/// `names[i]` is `pres[ends[i - 1]..ends[i]]` (run 0 starts at 0), with
+/// `names` ascending so a lookup is one binary search. Building it takes
+/// a fixed handful of allocations however many names the fragment uses.
+#[derive(Debug, Default, Clone)]
+struct NameIndex {
+    names: Vec<NameId>,
+    ends: Vec<u32>,
+    pres: Vec<u32>,
+}
+
+impl NameIndex {
+    /// Index the nodes of `kind` in `doc` by name (a counting sort over
+    /// the name ids, so runs come out in ascending pre order).
+    fn build(doc: &Document, kind: NodeKind) -> Self {
+        // (pre, name id) of every named node of `kind`.
+        let nodes = || {
+            (doc.kinds.iter().zip(&doc.names).enumerate())
+                .filter(move |&(_, (&k, n))| k == kind && n.is_some())
+                .map(|(pre, (_, n))| (pre as u32, n.0 as usize))
+        };
+        // Per name id: its node count, then (prefix-summed) the next free
+        // slot of its run in `pres`.
+        let mut slot: Vec<u32> = Vec::new();
+        for (_, id) in nodes() {
+            if id >= slot.len() {
+                slot.resize(id + 1, 0);
+            }
+            slot[id] += 1;
+        }
+        let mut index = NameIndex::default();
+        let mut end = 0;
+        for (id, n) in slot.iter_mut().enumerate() {
+            if *n > 0 {
+                index.names.push(NameId(id as u32));
+                let start = end;
+                end += *n;
+                *n = start;
+                index.ends.push(end);
+            }
+        }
+        index.pres = vec![0; end as usize];
+        for (pre, id) in nodes() {
+            index.pres[slot[id] as usize] = pre;
+            slot[id] += 1;
+        }
+        index
+    }
+
+    fn get(&self, name: NameId) -> &[u32] {
+        match self.names.binary_search(&name) {
+            Ok(i) => {
+                let start = if i == 0 { 0 } else { self.ends[i - 1] };
+                &self.pres[start as usize..self.ends[i] as usize]
+            }
+            Err(_) => &[],
+        }
+    }
 }
 
 impl Document {
@@ -141,25 +218,26 @@ impl Document {
     /// String content of a text/attribute/comment/PI node; `None` otherwise.
     pub fn text(&self, pre: u32) -> Option<&str> {
         let t = self.texts[pre as usize];
-        (t != NO_TEXT).then(|| &*self.text_data[t as usize])
+        (t != NO_TEXT).then(|| self.span(t))
+    }
+
+    /// Content of text span `t`.
+    pub(crate) fn span(&self, t: u32) -> &str {
+        let t = t as usize;
+        let start = match t {
+            0 => 0,
+            _ => self.text_ends[t - 1] as usize,
+        };
+        &self.text_heap[start..self.text_ends[t] as usize]
     }
 
     /// Per-name node streams, built lazily on first access (one pass over
     /// the fragment). Preorder ranks per list are ascending by
     /// construction.
     pub fn name_streams(&self) -> &NameStreams {
-        self.name_streams.get_or_init(|| {
-            let mut s = NameStreams::default();
-            for pre in 0..self.len() as u32 {
-                match self.kind(pre) {
-                    NodeKind::Element => s.elements.entry(self.name(pre)).or_default().push(pre),
-                    NodeKind::Attribute => {
-                        s.attributes.entry(self.name(pre)).or_default().push(pre)
-                    }
-                    _ => continue,
-                };
-            }
-            s
+        self.name_streams.get_or_init(|| NameStreams {
+            elements: NameIndex::build(self, NodeKind::Element),
+            attributes: NameIndex::build(self, NodeKind::Attribute),
         })
     }
 
@@ -224,14 +302,18 @@ impl Document {
     /// constructor outside any element content creates one). Returns its
     /// pre rank. Only valid on fragments built as flat forests.
     pub fn push_orphan_attribute(&mut self, name: NameId, value: &str) -> u32 {
-        let text = self.push_text_data(value.into());
+        let text = self.push_text(value);
         self.push_node(NodeKind::Attribute, name, 0, NO_PARENT, text)
     }
 
-    /// Intern string content, returning its index for `texts`.
-    pub(crate) fn push_text_data(&mut self, s: std::sync::Arc<str>) -> u32 {
-        let id = self.text_data.len() as u32;
-        self.text_data.push(s);
+    /// Append `s` to the text heap as a new span, returning its index for
+    /// `texts`. Panics if the heap outgrows `u32` offsets (4 GiB); the
+    /// parser rejects inputs that large before building anything.
+    pub(crate) fn push_text(&mut self, s: &str) -> u32 {
+        let id = self.text_ends.len() as u32;
+        self.text_heap.push_str(s);
+        let end = u32::try_from(self.text_heap.len()).expect("text heap within 4 GiB");
+        self.text_ends.push(end);
         id
     }
 
@@ -262,8 +344,10 @@ impl Document {
 
     /// Validate the structural invariants of the encoding (used by tests and
     /// debug assertions): sizes nest properly, levels are consistent with
-    /// parents, attribute runs directly follow their elements.
+    /// parents, attribute runs directly follow their elements, and the
+    /// text heap is well formed.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.check_text_heap()?;
         let n = self.len() as u32;
         for pre in 0..n {
             let size = self.size(pre);
@@ -292,6 +376,38 @@ impl Document {
                     return Err(format!("node {c}: subtree escapes parent window of {pre}"));
                 }
                 c += self.size(c) + 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Text heap invariants: span ends are non-decreasing, the last one
+    /// is the heap length, every end falls on a UTF-8 boundary, and a
+    /// node carries a span exactly when its kind has string content, with
+    /// an index in range.
+    fn check_text_heap(&self) -> Result<(), String> {
+        if self.text_ends.windows(2).any(|w| w[0] > w[1]) {
+            return Err("text heap: span ends decrease".into());
+        }
+        if self.text_ends.last().map_or(0, |&e| e as usize) != self.text_heap.len() {
+            return Err("text heap: last span end is not the heap length".into());
+        }
+        if let Some(e) = self
+            .text_ends
+            .iter()
+            .find(|&&e| !self.text_heap.is_char_boundary(e as usize))
+        {
+            return Err(format!("text heap: span end {e} splits a UTF-8 sequence"));
+        }
+        for (pre, &t) in self.texts.iter().enumerate() {
+            let has_text = !matches!(self.kinds[pre], NodeKind::Document | NodeKind::Element);
+            if (t != NO_TEXT) != has_text {
+                return Err(format!(
+                    "node {pre}: text span presence does not match its kind"
+                ));
+            }
+            if t != NO_TEXT && t as usize >= self.text_ends.len() {
+                return Err(format!("node {pre}: text span {t} out of range"));
             }
         }
         Ok(())
@@ -385,5 +501,54 @@ mod tests {
         assert_eq!(doc.parent(0), None);
         assert_eq!(doc.parent(3), Some(1));
         assert_eq!(doc.parent(4), Some(0));
+    }
+
+    /// `<a x="é">ü</a>`: element, attribute span 0, text span 1.
+    fn with_text() -> Document {
+        let mut pool = NamePool::new();
+        let mut b = TreeBuilder::new();
+        b.open_element(pool.intern("a"));
+        b.attribute(pool.intern("x"), "é");
+        b.text("ü");
+        b.close();
+        b.finish()
+    }
+
+    #[test]
+    fn text_heap_invariants_hold_and_catch_corruption() {
+        let doc = with_text();
+        doc.check_invariants().unwrap();
+        assert_eq!(doc.text(1), Some("é"));
+        assert_eq!(doc.text(2), Some("ü"));
+
+        let mut bad = with_text();
+        bad.text_ends.swap(0, 1);
+        assert!(bad.check_invariants().unwrap_err().contains("decrease"));
+
+        let mut bad = with_text();
+        bad.text_heap.push('!');
+        assert!(bad.check_invariants().unwrap_err().contains("heap length"));
+
+        let mut bad = with_text();
+        bad.text_ends[0] = 1; // inside the two bytes of `é`
+        assert!(bad.check_invariants().unwrap_err().contains("UTF-8"));
+
+        let mut bad = with_text();
+        bad.texts[2] = 2;
+        assert!(bad.check_invariants().unwrap_err().contains("out of range"));
+
+        let mut bad = with_text();
+        bad.texts[0] = 0;
+        assert!(bad.check_invariants().unwrap_err().contains("its kind"));
+    }
+
+    #[test]
+    fn name_streams_list_each_name_in_document_order() {
+        let (doc, pool) = figure1();
+        let s = doc.name_streams();
+        assert_eq!(s.elements(pool.lookup("c").unwrap()), [2, 4]);
+        assert_eq!(s.elements(pool.lookup("a").unwrap()), [0]);
+        assert!(s.elements(NameId(99)).is_empty());
+        assert!(s.attributes(pool.lookup("c").unwrap()).is_empty());
     }
 }
