@@ -1,11 +1,9 @@
 //! Flattened physical plans: the DAG lowered into a dense `Vec<PhysOp>`
 //! in topological order, with integer *slot* operands.
 //!
-//! The evaluator's old shape — per-evaluation `topo_order` walks plus an
-//! `OpId → Arc<Table>` hash memo — pays a hash lookup per operand access
-//! and re-derives the schedule on every execution. Lowering once at
-//! prepare time turns both into array indexing: `PhysOp::args` are
-//! indices into a result-slot vector that is allocated per execution.
+//! `PhysOp::args` are indices into a result-slot vector that is allocated
+//! per execution, so running a plan needs no hash lookups and no
+//! schedule derivation: the slot order is the execution order.
 //!
 //! Lowering also performs **chain fusion**: maximal linear runs of the
 //! unary row-shape-preserving operators (`fun`, `σ`, `attach`, `π`) whose

@@ -7,19 +7,15 @@
 //!
 //! For every query the serial run (`threads = 1`) is the reference: each
 //! parallel run's rendered output must be byte-identical to it (the
-//! scheduler's determinism contract), and the reported speedup is
-//! `t_serial / t_parallel`. The JSON records `host_cores` — on a 1-core
-//! host the scheduler has no parallelism to exploit and speedups near
-//! 1.0 (or slightly below, from scheduling overhead) are the honest
-//! expectation; the numbers are only meaningful relative to that field.
-//!
-//! Each parallel cell also records the scheduler's own counters
-//! (parallel regions, ops run on workers vs inline, steals, ready-queue
-//! peak) so a flat speedup is attributable: no regions means the plan
-//! had no parallelism to mine, many steals with no speedup means the
-//! work units were too small.
+//! engine's determinism contract), and the reported speedup is
+//! `t_serial / t_parallel`. Parallelism is morsel-driven: only operator
+//! inputs of at least 4096 rows are split across threads, so small
+//! queries run serially at any thread count. The JSON records
+//! `host_cores` and, per thread count, the geometric mean of the best
+//! per-query wall times — on a 1-core host speedups near 1.0 (or
+//! slightly below, from thread spawns) are the honest expectation; the
+//! numbers are only meaningful relative to that field.
 
-use exrquy::engine::SchedStats;
 use exrquy::{QueryOptions, ResultItem, Session};
 use exrquy_bench::report::{num, write};
 use exrquy_bench::{best_of, fmt_bytes, xmark_session, Cli};
@@ -29,7 +25,6 @@ use exrquy_xqd::json::{obj, Value};
 struct Cell {
     threads: usize,
     wall_ms: f64,
-    sched: SchedStats,
 }
 
 fn main() {
@@ -60,10 +55,10 @@ fn main() {
     let mut identical = true;
     for &n in &queries {
         let q = query(n);
-        let (reference, _) = rendered(&mut session, q, 1);
+        let reference = rendered(&mut session, q, 1);
         let mut cells: Vec<Cell> = Vec::new();
         for &t in &threads {
-            let (output, sched) = rendered(&mut session, q, t);
+            let output = rendered(&mut session, q, t);
             if t != 1 && output != reference {
                 identical = false;
                 eprintln!(
@@ -77,7 +72,6 @@ fn main() {
             cells.push(Cell {
                 threads: t,
                 wall_ms: best.as_secs_f64() * 1e3,
-                sched,
             });
         }
         let serial = cells.iter().find(|c| c.threads == 1).unwrap().wall_ms;
@@ -85,11 +79,10 @@ fn main() {
             .iter()
             .map(|c| {
                 format!(
-                    "t{} {:.2} ms (x{:.2}, {} steals)",
+                    "t{} {:.2} ms (x{:.2})",
                     c.threads,
                     c.wall_ms,
-                    serial / c.wall_ms.max(1e-9),
-                    c.sched.steals
+                    serial / c.wall_ms.max(1e-9)
                 )
             })
             .collect();
@@ -97,7 +90,15 @@ fn main() {
         rows.push((query_name(n), cells));
     }
 
-    let report = render_report(scale, bytes, host_cores, runs, identical, &rows);
+    let geomeans: Vec<(String, Value)> = threads
+        .iter()
+        .map(|&t| {
+            let g = geomean_ms(&rows, t);
+            eprintln!("  geomean t{t}: {g:.3} ms");
+            (format!("t{t}"), num(g))
+        })
+        .collect();
+    let report = render_report(scale, bytes, host_cores, runs, identical, geomeans, &rows);
     write(&out_path, &report);
     eprintln!(
         "wrote {out_path} ({} queries, serializations {})",
@@ -107,23 +108,21 @@ fn main() {
     assert!(identical, "parallel output diverged from serial");
 }
 
-/// The byte-identity witness (full rendered output, order preserved)
-/// plus the scheduler counters of that run.
-fn rendered(session: &mut Session, q: &str, threads: usize) -> (Vec<String>, SchedStats) {
+/// The byte-identity witness: full rendered output, order preserved.
+fn rendered(session: &mut Session, q: &str, threads: usize) -> Vec<String> {
     let opts = QueryOptions::order_indifferent().with_threads(threads);
     let out = session.query_with(q, &opts).expect("query failed");
-    let items = out.items.iter().map(ResultItem::render).collect();
-    (items, out.profile.sched)
+    out.items.iter().map(ResultItem::render).collect()
 }
 
-fn sched_json(s: &SchedStats) -> Value {
-    obj(vec![
-        ("regions", Value::Int(s.regions as i64)),
-        ("par_ops", Value::Int(s.par_ops as i64)),
-        ("inline_ops", Value::Int(s.inline_ops as i64)),
-        ("steals", Value::Int(s.steals as i64)),
-        ("queue_peak", Value::Int(s.queue_peak as i64)),
-    ])
+/// Geometric mean over queries of the best wall time at `threads`.
+fn geomean_ms(rows: &[(String, Vec<Cell>)], threads: usize) -> f64 {
+    let logs: Vec<f64> = rows
+        .iter()
+        .filter_map(|(_, cells)| cells.iter().find(|c| c.threads == threads))
+        .map(|c| c.wall_ms.max(1e-9).ln())
+        .collect();
+    (logs.iter().sum::<f64>() / logs.len().max(1) as f64).exp()
 }
 
 fn render_report(
@@ -132,6 +131,7 @@ fn render_report(
     host_cores: usize,
     runs: usize,
     identical: bool,
+    geomeans: Vec<(String, Value)>,
     rows: &[(String, Vec<Cell>)],
 ) -> Value {
     let queries: Vec<Value> = rows
@@ -147,7 +147,6 @@ fn render_report(
                         obj(vec![
                             ("wall_ms", num(c.wall_ms)),
                             ("speedup", num(serial / c.wall_ms.max(1e-9))),
-                            ("sched", sched_json(&c.sched)),
                         ]),
                     )
                 })
@@ -165,6 +164,7 @@ fn render_report(
         ("host_cores", Value::Int(host_cores as i64)),
         ("runs_per_cell", Value::Int(runs as i64)),
         ("identical_serializations", Value::Bool(identical)),
+        ("geomean_ms", Value::Object(geomeans.into_iter().collect())),
         ("queries", Value::Array(queries)),
     ])
 }

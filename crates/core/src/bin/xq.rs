@@ -22,12 +22,13 @@
 //!                        (join reordering, selection ordering); the
 //!                        rule-only planner runs instead
 //!   --sql                print the SQL:1999 translation instead of executing
-//!   --scalar             force the scalar operator-at-a-time engine path
-//!                        (no selection vectors, no fused kernels); results
-//!                        are byte-identical to the vectorized default
+//!   --scalar             run the scalar reference: unfused plan, reference
+//!                        kernels (no selection vectors, no fused chains);
+//!                        results are byte-identical to the vectorized default
 //!   --time               print compile/execute wall-clock to stderr
 //!   --profile            print the per-phase execution profile to stderr
-//!   --threads <n>        intra-query worker threads (default 1 = serial;
+//!   --threads <n>        worker threads for morsel-parallel kernels over
+//!                        large operator inputs (default 1 = serial;
 //!                        results are byte-identical at any thread count)
 //!   --plan-cache <n>     plan-cache capacity in prepared plans (default 128)
 //!   --timeout <secs>     wall-clock budget for execution (fractional ok)

@@ -301,7 +301,10 @@ impl Executor {
             exrquy_opt::cost_optimize(&mut dag, root, &opts.opt, &cost_ctx).map_err(Error::Opt)?;
         let stats_final = PlanStats::of(&dag, root);
         // Lower once: executions run the flattened program directly.
-        let phys = exrquy_algebra::lower(&dag, root, opts.vectorized);
+        // Armed failpoints lower unfused, so every operator is its own
+        // boundary for injected faults.
+        let fuse = opts.vectorized && opts.failpoints.is_empty();
+        let phys = exrquy_algebra::lower(&dag, root, fuse);
         Ok(Prepared {
             dag,
             root,

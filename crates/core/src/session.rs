@@ -98,14 +98,16 @@ pub struct QueryOptions {
     pub cancel: Option<CancellationToken>,
     /// Armed failpoints (deterministic fault injection); empty by default.
     pub failpoints: Failpoints,
-    /// Worker threads for intra-query parallel execution (`1` = serial).
-    /// Serial and parallel runs produce byte-identical serializations.
+    /// Worker threads for the morsel-parallel kernels (`1` = serial):
+    /// large operator inputs are split across threads, operators still
+    /// run one at a time. Serial and parallel runs produce
+    /// byte-identical serializations.
     pub threads: usize,
     /// Run the vectorized engine core: the plan is lowered to a flattened
     /// slot program at prepare time (with select→fun→project chains fused
     /// into single-pass kernels) and executed over selection vectors.
-    /// When `false`, the scalar operator-at-a-time reference path runs
-    /// instead. Both produce byte-identical serializations — the
+    /// When `false`, the unfused plan runs on the scalar reference
+    /// kernels instead. Both produce byte-identical serializations — the
     /// vectorization differential asserts exactly that.
     pub vectorized: bool,
 }

@@ -1,19 +1,22 @@
-//! The operator evaluator.
+//! The operator kernels and the per-query execution context.
 //!
-//! [`Engine::eval`] materializes the table of every operator reachable
-//! from the requested root, bottom-up in topological order, memoizing per
-//! [`OpId`] (the DAG is shared; shared subplans run once). Each
-//! operator's wall-clock time is added to the [`Profile`].
+//! [`Engine::eval`] lowers the plan rooted at the requested operator into
+//! a flattened slot program ([`exrquy_algebra::lower`]) and hands it to
+//! [`crate::vec::eval_phys`], the one loop that executes operators; a
+//! shared subplan owns one slot, so it runs once (§3's sharing). Callers
+//! that prepare plans ahead of time use [`Engine::eval_plan`] and skip
+//! the lowering. This module holds the operator kernels that loop
+//! dispatches to: [`eval_pure`] for everything that only reads the
+//! arena, and the node constructors, which need `&mut FragArena`.
 //!
-//! With [`EngineOptions::threads`] above one, evaluation is handed to the
-//! work-stealing scheduler in [`crate::par`], which runs independent pure
-//! subplans concurrently and pins node-constructing operators to the
-//! owning thread; the row-wise kernels in this module additionally split
-//! large inputs into morsels. Both paths produce bit-identical tables.
+//! With [`EngineOptions::threads`] above one, the row-wise kernels split
+//! large inputs into morsels ([`crate::par`]); serial and parallel runs
+//! produce bit-identical tables.
 
 use crate::column::{Column, ColumnError};
 use crate::funs::{self, DynError};
 use crate::item::{GroupKey, Item};
+use crate::par::{kernel_threads, run_morsels};
 use crate::profile::Profile;
 use crate::table::{ColView, Table};
 use exrquy_algebra::{AValue, AggrKind, Col, Dag, FunKind, Op, OpId, PhysPlan};
@@ -24,7 +27,6 @@ use exrquy_xml::tree::NodeKind;
 use exrquy_xml::{axis, FragArena, NameId, NodeId, NodeRead, TreeBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Runtime evaluation error, tagged with a W3C-style dynamic error code
 /// (or an `EXRQ*` resource-governance code).
@@ -108,20 +110,22 @@ pub struct EngineOptions {
     /// Armed failpoints (fault injection). Empty by default; the engine
     /// keeps its own deterministic counters (operators evaluated, `fn:doc`
     /// accesses), so re-running the same plan trips the same failpoint at
-    /// the same place (under serial execution; parallel completions race,
-    /// so a parallel run trips the same failpoint but not necessarily at
-    /// the same operator).
+    /// the same operator — at any thread count, because operators always
+    /// run one at a time in plan order. Armed failpoints force unfused
+    /// lowering, so every operator is its own boundary.
     pub failpoints: Failpoints,
-    /// Worker threads for intra-query parallel execution; `0` and `1`
-    /// both mean serial. Serial and parallel runs of the same plan
-    /// produce bit-identical tables.
+    /// Worker threads for the morsel-parallel kernels ([`crate::par`]);
+    /// `0` and `1` both mean serial. Operators still run one at a time:
+    /// only the rows of one large input are split across threads.
+    /// Serial and parallel runs of the same plan produce bit-identical
+    /// tables.
     pub threads: usize,
-    /// Force the scalar (pre-vectorization) operator-at-a-time path:
-    /// per-evaluation `topo_order` walks, materializing gathers, no
-    /// selection vectors, no fused chains. The vectorization
-    /// differential runs every query with this toggled both ways and
-    /// asserts byte-identical serializations; `vec-bench` uses it as
-    /// the old-engine baseline. Both paths produce identical tables.
+    /// Run the scalar reference: unfused lowering (every operator its
+    /// own slot) plus the pre-vectorization kernels — materializing
+    /// gathers, no selection vectors, no name-stream step upgrade. The
+    /// vectorization differential runs every query with this toggled
+    /// both ways and asserts byte-identical serializations; `vec-bench`
+    /// uses it as the old-engine baseline. Both produce identical tables.
     pub scalar: bool,
     /// Absolute request deadline (serving layer). Unlike `budget.max_wall`
     /// — which is relative to execution start — this instant also covers
@@ -146,12 +150,11 @@ pub struct Engine<'d, 's> {
     /// Per-execution fragment overlay over the shared catalog. Dropping
     /// it (with the engine) releases everything this query constructed.
     pub arena: &'s mut FragArena,
-    pub(crate) cache: FastMap<OpId, Arc<Table>>,
     /// Per-kind timing of this execution.
     pub profile: Profile,
     pub(crate) opts: EngineOptions,
-    /// Atomic budget/cancellation meter shared with every worker thread
-    /// of a parallel execution; its decrements and polls are the yield
+    /// Atomic budget/cancellation meter, shared with the morsel workers
+    /// of a parallel kernel; its decrements and polls are the yield
     /// points.
     pub(crate) meter: BudgetMeter,
     /// Overlay nodes present at engine creation; the constructed-node
@@ -175,7 +178,6 @@ impl<'d, 's> Engine<'d, 's> {
         Engine {
             dag,
             arena,
-            cache: FastMap::default(),
             profile: Profile::default(),
             opts,
             meter,
@@ -198,110 +200,74 @@ impl<'d, 's> Engine<'d, 's> {
         Ok(())
     }
 
-    /// Does this engine run the vectorized (flattened-plan) core? Armed
-    /// failpoints force the per-operator scalar schedule so injected
+    /// Does this engine run the vectorized core (fused chains, batch
+    /// kernels)? Armed failpoints force unfused lowering so injected
     /// faults keep their exact operator-boundary placement.
     pub fn vectorized(&self) -> bool {
         !self.opts.scalar && self.opts.failpoints.is_empty()
     }
 
-    /// Evaluate the plan rooted at `root`. The vectorized engine lowers
-    /// the DAG into a flattened slot program first; callers that prepare
-    /// plans ahead of time hand the lowered program to
-    /// [`eval_plan`](Self::eval_plan) instead and skip the lowering.
+    /// Evaluate the plan rooted at `root`: lower it into a flattened slot
+    /// program (fused when [`vectorized`](Self::vectorized)) and run it.
     pub fn eval(&mut self, root: OpId) -> Result<Arc<Table>, EvalError> {
-        if self.vectorized() {
-            let plan = exrquy_algebra::lower(self.dag, root, true);
-            return crate::vec::eval_phys(self, &plan);
-        }
-        if self.opts.threads > 1 {
-            return crate::par::eval_parallel(self, root);
-        }
-        for id in self.dag.topo_order(root) {
-            if self.cache.contains_key(&id) {
-                continue;
-            }
-            self.meter.poll()?;
-            self.poll_failpoints(id)?;
-            let started = Instant::now();
-            let table = self.eval_op(id)?;
-            self.profile.record(self.dag, id, started.elapsed());
-            self.profile.record_rows(id, table.nrows());
-            self.charge_op_output(table.nrows())?;
-            self.cache.insert(id, Arc::new(table));
-            self.meter.record_op();
-        }
-        Ok(self.cache[&root].clone())
+        let plan = exrquy_algebra::lower(self.dag, root, self.vectorized());
+        crate::vec::eval_phys(self, &plan)
     }
 
     /// Evaluate a pre-lowered flattened plan (prepared once, executed
     /// many times — the plan cache holds the lowered program alongside
-    /// the DAG). Falls back to [`eval`](Self::eval) on the root operator
-    /// when this engine is configured for the scalar path.
+    /// the DAG). A fused plan reaching an engine that must not fuse —
+    /// failpoints armed per run, as `RunOptions::failpoints` does — is
+    /// re-lowered without fusion first.
     pub fn eval_plan(&mut self, plan: &PhysPlan) -> Result<Arc<Table>, EvalError> {
-        let root = plan.ops[plan.root as usize].out_id();
-        if !self.vectorized() {
-            return self.eval(root);
+        if plan.fused_chains > 0 && !self.vectorized() {
+            return self.eval(plan.ops[plan.root as usize].out_id());
         }
         crate::vec::eval_phys(self, plan)
     }
 
-    /// Injected-fault checks at the operator boundary (see
-    /// [`poll_failpoints`]); mirrors the meter poll so injected faults
-    /// exercise exactly the error paths real exhaustion would take.
+    /// Injected-fault checks at the operator boundary: `cancel-after`
+    /// (counted over evaluated operators) and `budget-trip` (matched on
+    /// the operator kind about to run). Mirrors [`BudgetMeter::poll`] so
+    /// injected faults exercise exactly the error paths real exhaustion
+    /// would take.
     pub(crate) fn poll_failpoints(&self, id: OpId) -> Result<(), EvalError> {
-        poll_failpoints(&self.opts.failpoints, self.dag, id, self.meter.ops_seen())
-    }
-
-    fn input(&self, id: OpId) -> &Arc<Table> {
-        &self.cache[&id]
-    }
-
-    fn eval_op(&mut self, id: OpId) -> Result<Table, EvalError> {
-        let op = self.dag.op(id).clone();
-        match op {
-            // Writer operators need `&mut FragArena` and always run on the
-            // thread that owns the engine, in topological sequence — the
-            // single-writer rule that keeps fragment ids and interned names
-            // deterministic.
-            Op::Element { names, content } => {
-                let (nt, ct) = (self.input(names).clone(), self.input(content).clone());
-                eval_element(self.arena, &nt, &ct)
-            }
-            Op::Attr { names, values } => {
-                let (nt, vt) = (self.input(names).clone(), self.input(values).clone());
-                eval_attr(self.arena, &nt, &vt)
-            }
-            Op::TextNode { content } => {
-                let ct = self.input(content).clone();
-                eval_textnode(self.arena, &ct)
-            }
-            _ => {
-                let children = op.children();
-                let cache = &self.cache;
-                eval_pure(
-                    self.dag,
-                    id,
-                    &|k| cache[&children[k]].clone(),
-                    self.arena,
-                    &self.opts,
-                    &self.meter,
-                )
-            }
+        let failpoints = &self.opts.failpoints;
+        if failpoints.is_empty() {
+            return Ok(());
         }
+        let ops_seen = self.meter.ops_seen();
+        if failpoints.cancels_at(ops_seen) {
+            return Err(EvalError::new(
+                ErrorCode::EXRQ0002,
+                format!("query cancelled (injected at operator boundary {ops_seen})"),
+            ));
+        }
+        let kind = self.dag.op(id).kind_name();
+        if failpoints.trips_budget(kind) {
+            return Err(EvalError::new(
+                ErrorCode::EXRQ0001,
+                format!("execution budget exceeded (injected in `{kind}` operator {id})"),
+            ));
+        }
+        if failpoints.panics_in(kind) {
+            // A real panic, not an error return: the point is to exercise
+            // the serving layer's catch_unwind containment (EXRQ0009). Only
+            // ever reached with a `panic:<op>` failpoint armed.
+            panic!("injected panic in `{kind}` operator {id} (panic:<op> failpoint)");
+        }
+        Ok(())
     }
 }
 
 // ------------------------------------------------------- pure operators
 
-/// Evaluate a non-constructing operator. Shared by the serial engine,
-/// the flattened-plan executor, and the parallel scheduler's worker
-/// threads: `input` resolves the operator's already evaluated children
-/// *by child ordinal* (position in [`Op::children`] order — the caller
-/// maps ordinals to its memo cache or result slots; ordinal resolution
-/// is what lets the flattened plan skip `OpId` hash lookups entirely)
-/// and the arena is only read. Writer operators
-/// (`Element`/`Attr`/`TextNode`) never reach this function.
+/// Evaluate a non-constructing operator: `input` resolves the operator's
+/// already evaluated children *by child ordinal* (position in
+/// [`Op::children`] order — the slot loop maps ordinals to result slots,
+/// so no `OpId` hash lookups happen on the hot path) and the arena is
+/// only read. Writer operators (`Element`/`Attr`/`TextNode`) never reach
+/// this function.
 pub(crate) fn eval_pure(
     dag: &Dag,
     id: OpId,
@@ -479,82 +445,18 @@ pub(crate) fn eval_pure(
             Ok(Table::new(cols))
         }
         Op::Element { .. } | Op::Attr { .. } | Op::TextNode { .. } => {
-            unreachable!("writer operators are evaluated on the owning thread")
+            unreachable!("writer operators are evaluated by the slot loop")
         }
     }
 }
 
-// ------------------------------------------------------- morsel kernels
-
-/// Inputs below this row count are not worth splitting: thread spawn and
-/// result concatenation would dominate the scan.
-pub(crate) const MORSEL_MIN_ROWS: usize = 4096;
+// ------------------------------------------------------- kernel helpers
 
 /// Row-explosive kernels (joins, range expansion) poll the budget meter
 /// every this many emitted rows, so cancellation and hard deadlines
 /// interrupt a single huge operator instead of waiting for its
 /// boundary. Power of two keeps the modulo nearly free.
 pub(crate) const POLL_STRIDE: usize = 8192;
-
-/// Contiguous near-equal ranges covering `0..n` (at most `threads` of
-/// them, never empty ones).
-fn morsel_ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let k = threads.min(n).max(1);
-    let (base, rem) = (n / k, n % k);
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0;
-    for i in 0..k {
-        let len = base + usize::from(i < rem);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Run `f` over morsels of `0..n` on a scoped thread pool and return the
-/// partial results **in morsel order** — callers concatenate them, which
-/// is what makes every parallel kernel bit-identical to its serial run.
-/// On failure the error of the earliest morsel wins; because morsels are
-/// contiguous and ordered, that is exactly the error the serial scan
-/// would have hit first.
-pub(crate) fn run_morsels<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, EvalError>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Result<T, EvalError> + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return if n == 0 {
-            Ok(Vec::new())
-        } else {
-            Ok(vec![f(0..n)?])
-        };
-    }
-    let f = &f;
-    let results: Vec<Result<T, EvalError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = morsel_ranges(n, threads)
-            .into_iter()
-            .map(|r| s.spawn(move || f(r)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("morsel worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
-/// Effective worker count for a kernel over `nrows` rows.
-pub(crate) fn kernel_threads(nrows: usize, threads: usize) -> usize {
-    if nrows >= MORSEL_MIN_ROWS {
-        threads
-    } else {
-        1
-    }
-}
 
 /// Constant column for an `attach` (vectorized: integers and booleans
 /// stay dense; scalar: the pre-refactor `Int`-or-boxed layout).
@@ -1035,41 +937,6 @@ pub(crate) fn eval_textnode(arena: &mut FragArena, content: &Table) -> Result<Ta
 }
 
 // ------------------------------------------------------- free functions
-
-/// Injected-fault checks at the operator boundary: `cancel-after`
-/// (counted over evaluated operators) and `budget-trip` (matched on the
-/// operator kind about to run). Mirrors [`BudgetMeter::poll`] so injected
-/// faults exercise exactly the error paths real exhaustion would take.
-pub(crate) fn poll_failpoints(
-    failpoints: &Failpoints,
-    dag: &Dag,
-    id: OpId,
-    ops_seen: usize,
-) -> Result<(), EvalError> {
-    if failpoints.is_empty() {
-        return Ok(());
-    }
-    if failpoints.cancels_at(ops_seen) {
-        return Err(EvalError::new(
-            ErrorCode::EXRQ0002,
-            format!("query cancelled (injected at operator boundary {ops_seen})"),
-        ));
-    }
-    let kind = dag.op(id).kind_name();
-    if failpoints.trips_budget(kind) {
-        return Err(EvalError::new(
-            ErrorCode::EXRQ0001,
-            format!("execution budget exceeded (injected in `{kind}` operator {id})"),
-        ));
-    }
-    if failpoints.panics_in(kind) {
-        // A real panic, not an error return: the point is to exercise
-        // the serving layer's catch_unwind containment (EXRQ0009). Only
-        // ever reached with a `panic:<op>` failpoint armed.
-        panic!("injected panic in `{kind}` operator {id} (panic:<op> failpoint)");
-    }
-    Ok(())
-}
 
 pub(crate) fn avalue_item(v: &AValue) -> Item {
     match v {

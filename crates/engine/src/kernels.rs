@@ -12,9 +12,10 @@
 
 use crate::bits::BitVec;
 use crate::column::{Column, ColumnBuilder};
-use crate::eval::{kernel_threads, run_morsels, EvalError};
+use crate::eval::EvalError;
 use crate::funs;
 use crate::item::Item;
+use crate::par::{kernel_threads, run_morsels};
 use crate::table::ColView;
 use exrquy_algebra::FunKind;
 use exrquy_diag::ErrorCode;

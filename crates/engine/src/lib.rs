@@ -16,8 +16,9 @@
 //!   ([`Profile`]), which is exactly the granularity of the paper's
 //!   Table 2 breakdown.
 //!
-//! Evaluation is memoized over the shared DAG: an operator reachable via
-//! ten paths is evaluated once (§3's sharing).
+//! Execution runs the shared DAG lowered into a flattened slot program:
+//! an operator reachable via ten paths owns one slot and is evaluated
+//! once (§3's sharing).
 
 pub mod bits;
 pub mod column;
@@ -34,5 +35,5 @@ pub use bits::BitVec;
 pub use column::{Column, ColumnBuilder, ColumnError};
 pub use eval::{Engine, EngineOptions, EvalError, StepAlgo};
 pub use item::Item;
-pub use profile::{Profile, SchedStats, VecStats};
+pub use profile::{Profile, VecStats};
 pub use table::{ColView, SelVec, Table};

@@ -1,542 +1,86 @@
-//! Work-stealing intra-query scheduler.
+//! Morsel-driven data parallelism inside one operator.
 //!
-//! The scheduler runs over a *node graph* — either the shared DAG
-//! (scalar path) or a flattened [`PhysPlan`] whose slots may be fused
-//! chains (vectorized path, via [`eval_parallel_phys`]). Both shapes go
-//! through the same worker loops and the same kernels, so serial and
-//! parallel runs of either path produce bit-identical tables (the
-//! differential suites assert this).
-//!
-//! Independent pure nodes evaluate concurrently; every node-constructing
-//! ("writer") operator is pinned to the main thread, in exactly the
-//! serial topological sequence — the single-writer rule. Fragment ids
-//! and interned name ids are handed out in the same order as a serial
-//! run.
-//!
-//! Shape of the loop: alternate
-//!
-//! 1. a **parallel region** draining every ready pure node through
-//!    per-worker deques with work stealing (a finished node releases its
-//!    parents; newly ready pure parents go onto the finishing worker's
-//!    own deque), and
-//! 2. a **writer phase** executing ready writers on the main thread with
-//!    `&mut FragArena`.
-//!
-//! Termination: after a region drains, the topologically earliest
-//! unfinished node has all children finished; the region would have
-//! consumed it if it were pure, so it is the next writer in sequence (or
-//! the root is done). The loop therefore always progresses.
-//!
-//! Budget charging, cancellation polls, and failpoint polls go through
-//! the shared atomic [`BudgetMeter`] — those are the yield points.
-//! Failpoint trip *placement* is racy under parallel completion order
-//! (the counters are global), but the error paths taken are the same.
+//! Operators run one at a time, in plan order, on the thread that owns
+//! the engine (see [`crate::vec::eval_phys`]). Parallelism comes from
+//! splitting the *data*: the row-wise kernels (σ, `◦`, `⬡`, `%` and the
+//! fused-chain batch kernels) cut inputs of at least
+//! [`MORSEL_MIN_ROWS`] rows into contiguous morsels, run them on scoped
+//! threads and concatenate the partial results in morsel order. That
+//! keeps every parallel run bit-identical to its serial run, and the
+//! arena's single-writer rule holds trivially: node constructors never
+//! run on a morsel worker.
 
-use crate::eval::{
-    eval_attr, eval_element, eval_pure, eval_textnode, poll_failpoints, Engine, EngineOptions,
-    EvalError,
-};
-use crate::profile::{Profile, SchedStats};
-use crate::table::Table;
-use crate::vec::exec_fused;
-use exrquy_algebra::{Dag, FuseStep, Op, OpId, PhysOp, PhysPlan};
-use exrquy_diag::BudgetMeter;
-use exrquy_xml::FragArena;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use crate::eval::EvalError;
 
-/// Shared atomic scheduler counters of one execution, snapshotted into
-/// [`SchedStats`] when the run completes.
-#[derive(Default)]
-struct SchedCounters {
-    regions: AtomicU64,
-    par_ops: AtomicU64,
-    inline_ops: AtomicU64,
-    steals: AtomicU64,
-    queue_peak: AtomicU64,
-}
+/// Inputs below this row count are not worth splitting: thread spawn and
+/// result concatenation would dominate the scan.
+pub(crate) const MORSEL_MIN_ROWS: usize = 4096;
 
-impl SchedCounters {
-    fn note_queue_depth(&self, depth: usize) {
-        self.queue_peak.fetch_max(depth as u64, Ordering::Relaxed);
+/// Contiguous near-equal ranges covering `0..n` (at most `threads` of
+/// them, never empty ones).
+fn morsel_ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
+    let k = threads.min(n).max(1);
+    let (base, rem) = (n / k, n % k);
+    let mut out = Vec::with_capacity(k);
+    let mut start = 0;
+    for i in 0..k {
+        let len = base + usize::from(i < rem);
+        out.push(start..start + len);
+        start += len;
     }
-
-    fn snapshot(&self) -> SchedStats {
-        SchedStats {
-            regions: self.regions.load(Ordering::Relaxed),
-            par_ops: self.par_ops.load(Ordering::Relaxed),
-            inline_ops: self.inline_ops.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            queue_peak: self.queue_peak.load(Ordering::Relaxed),
-        }
-    }
+    out
 }
 
-// Everything a worker touches must cross the scope boundary.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    const fn assert_send<T: Send>() {}
-    assert_sync::<FragArena>();
-    assert_sync::<EngineOptions>();
-    assert_sync::<BudgetMeter>();
-    assert_send::<EvalError>();
-    assert_send::<Profile>();
-};
-
-/// What a scheduled node executes.
-enum NodeKind<'p> {
-    /// A pure logical operator (kernels run via [`eval_pure`]).
-    Pure(OpId),
-    /// An arena-mutating constructor, pinned to the main thread.
-    Writer(OpId),
-    /// A fused chain over the node's single child.
-    Fused(&'p [FuseStep]),
-}
-
-/// A schedulable plan: nodes in topological order with node-index
-/// operand edges (operand order and multiplicity preserved — kernels
-/// resolve children by ordinal).
-struct NodeGraph<'p> {
-    nodes: Vec<NodeKind<'p>>,
-    children: Vec<Vec<u32>>,
-    /// DAG id publishing each node's table (chain tail for fused nodes);
-    /// the key for memo-cache seeding, profiling, and failpoints.
-    out_ids: Vec<OpId>,
-    root: usize,
-}
-
-impl NodeGraph<'_> {
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-fn graph_from_dag(dag: &Dag, root: OpId) -> NodeGraph<'static> {
-    let order = dag.topo_order(root);
-    let mut idx_of: HashMap<OpId, u32> = HashMap::with_capacity(order.len());
-    let mut g = NodeGraph {
-        nodes: Vec::with_capacity(order.len()),
-        children: Vec::with_capacity(order.len()),
-        out_ids: Vec::with_capacity(order.len()),
-        root: 0,
-    };
-    for &id in &order {
-        idx_of.insert(id, g.nodes.len() as u32);
-        let op = dag.op(id);
-        g.children
-            .push(op.children().iter().map(|c| idx_of[c]).collect());
-        g.nodes.push(if is_writer_op(op) {
-            NodeKind::Writer(id)
+/// Run `f` over morsels of `0..n` on a scoped thread pool and return the
+/// partial results **in morsel order** — callers concatenate them, which
+/// is what makes every parallel kernel bit-identical to its serial run.
+/// On failure the error of the earliest morsel wins; because morsels are
+/// contiguous and ordered, that is exactly the error the serial scan
+/// would have hit first. A panicking morsel re-raises its own payload.
+pub(crate) fn run_morsels<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, EvalError>
+where
+    T: Send,
+    F: Fn(std::ops::Range<usize>) -> Result<T, EvalError> + Sync,
+{
+    if threads <= 1 || n <= 1 {
+        return if n == 0 {
+            Ok(Vec::new())
         } else {
-            NodeKind::Pure(id)
-        });
-        g.out_ids.push(id);
-    }
-    g.root = idx_of[&root] as usize;
-    g
-}
-
-fn graph_from_phys<'p>(dag: &Dag, plan: &'p PhysPlan) -> NodeGraph<'p> {
-    let mut g = NodeGraph {
-        nodes: Vec::with_capacity(plan.len()),
-        children: Vec::with_capacity(plan.len()),
-        out_ids: Vec::with_capacity(plan.len()),
-        root: plan.root as usize,
-    };
-    for op in &plan.ops {
-        match op {
-            PhysOp::Op { id, args } => {
-                g.children.push(args.clone());
-                g.nodes.push(if is_writer_op(dag.op(*id)) {
-                    NodeKind::Writer(*id)
-                } else {
-                    NodeKind::Pure(*id)
-                });
-            }
-            PhysOp::Fused { input, steps, .. } => {
-                g.children.push(vec![*input]);
-                g.nodes.push(NodeKind::Fused(steps));
-            }
-        }
-        g.out_ids.push(op.out_id());
-    }
-    g
-}
-
-/// Shared scheduler state, borrowed by every worker of a region.
-struct Cx<'a, 'p> {
-    dag: &'a Dag,
-    graph: &'a NodeGraph<'p>,
-    arena: &'a FragArena,
-    opts: &'a EngineOptions,
-    meter: &'a BudgetMeter,
-    /// One result slot per graph node.
-    results: &'a [OnceLock<Arc<Table>>],
-    /// Outstanding-children count per node (with multiplicity: a node
-    /// using one child twice waits for it twice).
-    waiting: &'a [AtomicUsize],
-    /// Reverse edges, with multiplicity.
-    parents: &'a [Vec<u32>],
-    threads: usize,
-    counters: &'a SchedCounters,
-}
-
-impl Cx<'_, '_> {
-    fn result(&self, ni: u32) -> Arc<Table> {
-        self.results[ni as usize]
-            .get()
-            .expect("child evaluated before parent (topological invariant)")
-            .clone()
-    }
-
-    /// Evaluate one pure node, publish its table, and return the parents
-    /// it made ready (pure parents only — writers are picked up by the
-    /// main loop's sequence pointer).
-    fn step(&self, ni: u32, prof: &mut Profile) -> Result<Vec<u32>, EvalError> {
-        self.meter.poll()?;
-        let out = self.graph.out_ids[ni as usize];
-        let ch = &self.graph.children[ni as usize];
-        let table = match &self.graph.nodes[ni as usize] {
-            NodeKind::Pure(id) => {
-                poll_failpoints(&self.opts.failpoints, self.dag, *id, self.meter.ops_seen())?;
-                let started = Instant::now();
-                let table = eval_pure(
-                    self.dag,
-                    *id,
-                    &|k| self.result(ch[k]),
-                    self.arena,
-                    self.opts,
-                    self.meter,
-                )?;
-                prof.record(self.dag, *id, started.elapsed());
-                prof.record_rows(*id, table.nrows());
-                table
-            }
-            NodeKind::Fused(steps) => {
-                let started = Instant::now();
-                let input = self.result(ch[0]);
-                let mut batches = 0u64;
-                let table = exec_fused(
-                    &input,
-                    steps,
-                    self.arena,
-                    self.opts,
-                    self.meter,
-                    &mut batches,
-                )?;
-                prof.vec.batches += batches;
-                prof.record(self.dag, out, started.elapsed());
-                prof.record_rows(out, table.nrows());
-                table
-            }
-            NodeKind::Writer(_) => unreachable!("writers run on the owning thread"),
+            Ok(vec![f(0..n)?])
         };
-        self.meter.charge_rows(table.nrows())?;
-        let _ = self.results[ni as usize].set(Arc::new(table));
-        self.meter.record_op();
-        Ok(self.release_parents(ni))
     }
-
-    /// Decrement each parent's outstanding count; a parent hitting zero
-    /// is ready. Pure ready parents are returned; ready writers surface
-    /// through the main loop's `waiting` check instead.
-    fn release_parents(&self, ni: u32) -> Vec<u32> {
-        let mut ready = Vec::new();
-        for &p in &self.parents[ni as usize] {
-            if self.waiting[p as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                && !matches!(self.graph.nodes[p as usize], NodeKind::Writer(_))
-            {
-                ready.push(p);
-            }
-        }
-        ready
-    }
-}
-
-/// Drain `seeds` and everything they transitively make ready, in
-/// parallel. Linear stretches run inline on the calling thread; a scoped
-/// worker pool is only spun up once two or more nodes are ready at the
-/// same time.
-fn run_region(
-    cx: &Cx<'_, '_>,
-    mut seeds: Vec<u32>,
-    profile: &mut Profile,
-) -> Result<(), EvalError> {
-    while seeds.len() == 1 {
-        let ni = seeds.pop().expect("len checked");
-        cx.counters.inline_ops.fetch_add(1, Ordering::Relaxed);
-        seeds.extend(cx.step(ni, profile)?);
-    }
-    if seeds.is_empty() {
-        return Ok(());
-    }
-    cx.counters.regions.fetch_add(1, Ordering::Relaxed);
-    cx.counters.note_queue_depth(seeds.len());
-    let w = cx.threads.min(seeds.len());
-    let deques: Vec<Mutex<VecDeque<u32>>> = (0..w).map(|_| Mutex::new(VecDeque::new())).collect();
-    // `tasks` counts published-but-unfinished nodes; workers spin until
-    // it reaches zero. Children are published (and counted) before their
-    // releaser is retired, so the count only hits zero when the region
-    // is truly drained.
-    let tasks = AtomicUsize::new(seeds.len());
-    for (i, ni) in seeds.into_iter().enumerate() {
-        deques[i % w].lock().expect("deque lock").push_back(ni);
-    }
-    let abort = AtomicBool::new(false);
-    let first_err: Mutex<Option<EvalError>> = Mutex::new(None);
-    let worker_profiles: Vec<Profile> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..w)
-            .map(|wi| {
-                let (deques, tasks, abort, first_err) = (&deques, &tasks, &abort, &first_err);
-                s.spawn(move || {
-                    let mut prof = Profile::default();
-                    worker_loop(cx, wi, deques, tasks, abort, first_err, &mut prof);
-                    prof
-                })
-            })
+    let f = &f;
+    let results: Vec<Result<T, EvalError>> = std::thread::scope(|s| {
+        let handles: Vec<_> = morsel_ranges(n, threads)
+            .into_iter()
+            .map(|r| s.spawn(move || f(r)))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("region worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
-    for p in &worker_profiles {
-        profile.merge(p);
-    }
-    if let Some(e) = first_err.into_inner().expect("error lock") {
-        return Err(e);
-    }
-    Ok(())
+    results.into_iter().collect()
 }
 
-fn worker_loop(
-    cx: &Cx<'_, '_>,
-    wi: usize,
-    deques: &[Mutex<VecDeque<u32>>],
-    tasks: &AtomicUsize,
-    abort: &AtomicBool,
-    first_err: &Mutex<Option<EvalError>>,
-    prof: &mut Profile,
-) {
-    let w = deques.len();
-    loop {
-        if abort.load(Ordering::Acquire) || tasks.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        // Own deque first (LIFO: cache-warm, depth-first); steal FIFO
-        // from the others otherwise (oldest task: likely a big subtree).
-        let mut next = deques[wi].lock().expect("deque lock").pop_back();
-        if next.is_none() {
-            for k in 1..w {
-                let victim = (wi + k) % w;
-                next = deques[victim].lock().expect("deque lock").pop_front();
-                if next.is_some() {
-                    cx.counters.steals.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        let Some(ni) = next else {
-            std::thread::yield_now();
-            continue;
-        };
-        cx.counters.par_ops.fetch_add(1, Ordering::Relaxed);
-        match cx.step(ni, prof) {
-            Ok(ready) => {
-                if !ready.is_empty() {
-                    let outstanding = tasks.fetch_add(ready.len(), Ordering::Release) + ready.len();
-                    cx.counters.note_queue_depth(outstanding);
-                    let mut dq = deques[wi].lock().expect("deque lock");
-                    dq.extend(ready);
-                }
-            }
-            Err(e) => {
-                let mut slot = first_err.lock().expect("error lock");
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-                abort.store(true, Ordering::Release);
-                return;
-            }
-        }
-        tasks.fetch_sub(1, Ordering::Release);
+/// Effective worker count for a kernel over `nrows` rows.
+pub(crate) fn kernel_threads(nrows: usize, threads: usize) -> usize {
+    if nrows >= MORSEL_MIN_ROWS {
+        threads
+    } else {
+        1
     }
-}
-
-/// Evaluate one writer node on the main thread; `ch` are its operand
-/// node indices in [`Op::children`] order.
-fn eval_writer(
-    engine: &mut Engine<'_, '_>,
-    id: OpId,
-    ch: &[u32],
-    results: &[OnceLock<Arc<Table>>],
-) -> Result<Table, EvalError> {
-    let get = |k: usize| -> Arc<Table> {
-        results[ch[k] as usize]
-            .get()
-            .expect("writer input evaluated")
-            .clone()
-    };
-    match engine.dag.op(id).clone() {
-        Op::Element { .. } => {
-            let (nt, ct) = (get(0), get(1));
-            eval_element(engine.arena, &nt, &ct)
-        }
-        Op::Attr { .. } => {
-            let (nt, vt) = (get(0), get(1));
-            eval_attr(engine.arena, &nt, &vt)
-        }
-        Op::TextNode { .. } => {
-            let ct = get(0);
-            eval_textnode(engine.arena, &ct)
-        }
-        other => unreachable!("`{}` is not a writer operator", other.kind_name()),
-    }
-}
-
-fn is_writer_op(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Element { .. } | Op::Attr { .. } | Op::TextNode { .. }
-    )
-}
-
-/// Parallel evaluation of the DAG rooted at `root` (entered from
-/// [`Engine::eval`] on the scalar path when `threads > 1`).
-pub(crate) fn eval_parallel(
-    engine: &mut Engine<'_, '_>,
-    root: OpId,
-) -> Result<Arc<Table>, EvalError> {
-    let graph = graph_from_dag(engine.dag, root);
-    eval_parallel_graph(engine, &graph)
-}
-
-/// Parallel evaluation of a flattened plan (entered from the vectorized
-/// executor when `threads > 1`); fused chains are scheduled as single
-/// nodes, so both paths share the kernel bodies.
-pub(crate) fn eval_parallel_phys(
-    engine: &mut Engine<'_, '_>,
-    plan: &PhysPlan,
-) -> Result<Arc<Table>, EvalError> {
-    let graph = graph_from_phys(engine.dag, plan);
-    eval_parallel_graph(engine, &graph)
-}
-
-fn eval_parallel_graph(
-    engine: &mut Engine<'_, '_>,
-    graph: &NodeGraph<'_>,
-) -> Result<Arc<Table>, EvalError> {
-    let dag = engine.dag;
-    let n = graph.len();
-    let results: Vec<OnceLock<Arc<Table>>> = (0..n).map(|_| OnceLock::new()).collect();
-    // Seed from the memo cache (repeated `eval` calls on one engine).
-    for (i, out) in graph.out_ids.iter().enumerate() {
-        if let Some(t) = engine.cache.get(out) {
-            let _ = results[i].set(t.clone());
-        }
-    }
-    let mut waiting: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 0..n {
-        if results[i].get().is_some() {
-            continue;
-        }
-        let mut outstanding = 0;
-        for &c in &graph.children[i] {
-            if results[c as usize].get().is_some() {
-                continue;
-            }
-            outstanding += 1;
-            parents[c as usize].push(i as u32);
-        }
-        waiting[i] = AtomicUsize::new(outstanding);
-    }
-    let writer_seq: Vec<usize> = (0..n)
-        .filter(|&i| matches!(graph.nodes[i], NodeKind::Writer(_)) && results[i].get().is_none())
-        .collect();
-    let mut seeds: Vec<u32> = (0..n)
-        .filter(|&i| {
-            results[i].get().is_none()
-                && !matches!(graph.nodes[i], NodeKind::Writer(_))
-                && waiting[i].load(Ordering::Relaxed) == 0
-        })
-        .map(|i| i as u32)
-        .collect();
-    let threads = engine.opts.threads;
-    let counters = SchedCounters::default();
-    let mut next_writer = 0;
-    while results[graph.root].get().is_none() {
-        if !seeds.is_empty() {
-            let cx = Cx {
-                dag,
-                graph,
-                arena: &*engine.arena,
-                opts: &engine.opts,
-                meter: &engine.meter,
-                results: &results,
-                waiting: &waiting,
-                parents: &parents,
-                threads,
-                counters: &counters,
-            };
-            run_region(&cx, std::mem::take(&mut seeds), &mut engine.profile)?;
-        }
-        let mut progressed = false;
-        while next_writer < writer_seq.len() {
-            let i = writer_seq[next_writer];
-            if waiting[i].load(Ordering::Acquire) != 0 {
-                break;
-            }
-            next_writer += 1;
-            progressed = true;
-            let NodeKind::Writer(id) = graph.nodes[i] else {
-                unreachable!("writer sequence holds writers only")
-            };
-            engine.meter.poll()?;
-            engine.poll_failpoints(id)?;
-            let started = Instant::now();
-            let table = eval_writer(engine, id, &graph.children[i], &results)?;
-            engine.profile.record(dag, id, started.elapsed());
-            let nrows = table.nrows();
-            engine.profile.record_rows(id, nrows);
-            let _ = results[i].set(Arc::new(table));
-            engine.charge_op_output(nrows)?;
-            engine.meter.record_op();
-            for &p in &parents[i] {
-                if waiting[p as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                    && !matches!(graph.nodes[p as usize], NodeKind::Writer(_))
-                {
-                    seeds.push(p);
-                }
-            }
-        }
-        if results[graph.root].get().is_some() {
-            break;
-        }
-        if seeds.is_empty() && !progressed {
-            unreachable!("scheduler stalled: no ready node but the root is incomplete");
-        }
-    }
-    engine.profile.sched.merge(&counters.snapshot());
-    // Fill the memo cache so later `eval` calls (e.g. a second root over
-    // the same engine) reuse this run's results.
-    for (i, out) in graph.out_ids.iter().enumerate() {
-        if let Some(t) = results[i].get() {
-            engine.cache.entry(*out).or_insert_with(|| t.clone());
-        }
-    }
-    Ok(results[graph.root].get().expect("root evaluated").clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::EngineOptions;
+    use crate::eval::{Engine, EngineOptions};
     use crate::item::Item;
-    use exrquy_algebra::{AValue, Col, FunKind};
-    use exrquy_xml::Catalog;
+    use crate::table::Table;
+    use exrquy_algebra::{AValue, Col, Dag, FunKind, Op, OpId};
+    use exrquy_xml::{Catalog, FragArena};
+    use std::sync::Arc;
 
     fn opts(threads: usize) -> EngineOptions {
         EngineOptions {
@@ -592,31 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_counters_populate_under_parallel_execution() {
-        let mut dag = Dag::new();
-        let root = diamond(&mut dag);
-        let mut arena = FragArena::new(Arc::new(Catalog::new()));
-        let mut e = Engine::new(&dag, &mut arena, opts(4));
-        e.eval(root).unwrap();
-        let s = e.profile.sched;
-        // The diamond has 4 pure operators; every one must be accounted
-        // either to a worker pool or to an inline stretch.
-        assert_eq!(s.par_ops + s.inline_ops, 4, "{s:?}");
-        // The two independent branches are ready simultaneously.
-        assert!(s.regions >= 1, "{s:?}");
-        assert!(s.queue_peak >= 2, "{s:?}");
-        // Serial execution never touches the scheduler.
-        let mut arena2 = FragArena::new(Arc::new(Catalog::new()));
-        let mut e2 = Engine::new(&dag, &mut arena2, opts(1));
-        e2.eval(root).unwrap();
-        assert_eq!(e2.profile.sched, SchedStats::default());
-    }
-
-    #[test]
     fn parallel_runs_fused_chains_identically() {
-        // fun → σ → fun over a wide literal: fuses into one chain, which
-        // the scheduler must execute as a single node with the same
-        // result as the serial vectorized run and the scalar run.
+        // fun → σ → fun over a wide literal: fuses into one chain whose
+        // morsel-split kernels must give the same result as the serial
+        // vectorized run and the scalar run.
         let mut dag = Dag::new();
         let rows: Vec<Vec<i64>> = (0..20_000).map(|i| vec![i % 11, i]).collect();
         let base = lit(&mut dag, vec![Col::ITER, Col::ITEM], rows);
@@ -724,5 +247,22 @@ mod tests {
             e.eval(root).unwrap_err()
         };
         assert_eq!(err_of(1).code, err_of(4).code);
+    }
+
+    #[test]
+    fn morsel_panics_keep_their_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            run_morsels(8, 2, |range| -> Result<(), EvalError> {
+                if range.start > 0 {
+                    panic!("morsel {range:?} failed");
+                }
+                Ok(())
+            })
+        })
+        .expect_err("the morsel panic must propagate");
+        assert_eq!(
+            caught.downcast_ref::<String>().map(String::as_str),
+            Some("morsel 4..8 failed")
+        );
     }
 }

@@ -1,8 +1,16 @@
-//! The vectorized executor: runs a flattened [`PhysPlan`] slot by slot.
+//! The execution loop: runs a flattened [`PhysPlan`] slot by slot.
 //!
-//! Operand access is array indexing into a per-execution slot vector —
-//! no per-evaluation `topo_order` walk, no `OpId` hash lookups on the
-//! hot path. Fused chains (`fun`/`σ`/`attach`/`π` runs collapsed by
+//! [`eval_phys`] is the only place operators are executed. Slots run
+//! one at a time in plan (topological) order on the thread that owns the
+//! engine; at every slot boundary the loop polls the budget meter and,
+//! for a plain operator, any armed failpoints, then times the slot,
+//! charges its output and counts it as one operator. Operand access is
+//! array indexing into a per-execution slot vector — no `OpId` hash
+//! lookups on the hot path — and a shared subplan owns one slot, so it
+//! runs once. Node constructors take `&mut FragArena` right here, so the
+//! arena's single-writer rule holds by construction.
+//!
+//! Fused chains (`fun`/`σ`/`attach`/`π` runs collapsed by
 //! [`exrquy_algebra::lower`]) execute as a register program over the
 //! input batch: base columns stay shared behind selection vectors,
 //! function results live in per-row registers, and only the chain's
@@ -30,36 +38,28 @@ use exrquy_xml::FragArena;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Evaluate a flattened plan, memoizing per logical operator in the
-/// engine's cache (a re-execution over a warm cache resolves every slot
-/// without running anything).
+/// Evaluate a flattened plan and return the root slot's table.
 pub(crate) fn eval_phys(engine: &mut Engine, plan: &PhysPlan) -> Result<Arc<Table>, EvalError> {
     engine.profile.vec.phys_slots += plan.len() as u64;
     engine.profile.vec.fused_chains += plan.fused_chains as u64;
     engine.profile.vec.fused_ops += plan.fused_ops as u64;
-    if engine.opts.threads > 1 {
-        return crate::par::eval_parallel_phys(engine, plan);
-    }
     let mut slots: Vec<Option<Arc<Table>>> = vec![None; plan.len()];
     for (i, phys) in plan.ops.iter().enumerate() {
-        let out_id = phys.out_id();
-        if let Some(t) = engine.cache.get(&out_id) {
-            slots[i] = Some(t.clone());
-            continue;
-        }
         engine.meter.poll()?;
+        if let PhysOp::Op { id, .. } = phys {
+            engine.poll_failpoints(*id)?;
+        }
+        let out_id = phys.out_id();
         let started = Instant::now();
         let table = exec_slot(engine, phys, &slots)?;
         engine.profile.record(engine.dag, out_id, started.elapsed());
         engine.profile.record_rows(out_id, table.nrows());
         engine.charge_op_output(table.nrows())?;
-        let t = Arc::new(table);
-        engine.cache.insert(out_id, t.clone());
-        slots[i] = Some(t);
+        slots[i] = Some(Arc::new(table));
         engine.meter.record_op();
     }
     Ok(slots[plan.root as usize]
-        .clone()
+        .take()
         .expect("root slot evaluated"))
 }
 
@@ -90,9 +90,7 @@ fn exec_slot(
             out
         }
         PhysOp::Op { id, args } => match engine.dag.op(*id) {
-            // Writers mutate the arena; same single-writer rule as the
-            // serial engine (in a parallel region they are pinned to the
-            // owning thread).
+            // Writers mutate the arena; only this loop holds it mutably.
             Op::Element { .. } => {
                 let (nt, ct) = (slot(args[0]), slot(args[1]));
                 eval_element(engine.arena, &nt, &ct)

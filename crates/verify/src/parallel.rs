@@ -1,12 +1,12 @@
 //! Serial/parallel determinism differential: the acceptance harness for
 //! intra-query parallel execution.
 //!
-//! The scheduler's contract is stronger than bag equality: a query run
+//! The engine's contract is stronger than bag equality: a query run
 //! with `threads = N` must produce a *byte-identical* serialization to
 //! the serial run — same items, same order, same rendered text — because
 //! morsel kernels concatenate partial results in morsel order and
-//! node-constructing operators execute in the exact serial topological
-//! sequence on the owning thread. This module checks that contract over
+//! operators, node constructors included, run one at a time in plan
+//! order on the owning thread. This module checks that contract over
 //! two corpora:
 //!
 //! * the XMark benchmark queries over a seeded generated document, and
@@ -16,7 +16,7 @@
 //!
 //! Comparison is exact sequence equality of rendered items — *not* the
 //! bag equivalence the unordered mode would grant — so any
-//! scheduler-introduced reordering is a failure even where the language
+//! parallelism-introduced reordering is a failure even where the language
 //! semantics would forgive it.
 
 use crate::fuzz::{cell_rng, gen_doc, gen_query, FuzzProfile, FUZZ_DOC_URL};

@@ -388,7 +388,7 @@ mod tests {
 
     /// The parallel daemon (threads > 0) stays byte-identical to serial
     /// direct execution — the serving layer composes with the
-    /// work-stealing contract.
+    /// morsel-parallel determinism contract.
     #[test]
     fn parallel_serve_path_is_byte_identical_to_serial() {
         let report = run_serve_diff(&ServeDiffConfig {

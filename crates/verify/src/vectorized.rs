@@ -37,8 +37,8 @@ pub struct VectorizedConfig {
     /// XMark set.
     pub fuzz_iters: usize,
     /// Worker-thread counts the vectorized arm additionally runs at
-    /// (beyond serial), so fused morsel kernels are exercised under the
-    /// work-stealing scheduler too.
+    /// (beyond serial), so fused chains are exercised with morsel-split
+    /// kernels too.
     pub threads: Vec<usize>,
 }
 

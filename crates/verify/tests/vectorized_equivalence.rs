@@ -1,7 +1,7 @@
 //! Tier-1 acceptance: the vectorized engine core (flattened physical
 //! programs, selection vectors, fused kernels) serializes byte-identically
-//! to the scalar operator-at-a-time path over the XMark corpus and the
-//! fuzz query stream, serially and under the work-stealing scheduler.
+//! to the scalar reference path over the XMark corpus and the fuzz query
+//! stream, serially and with morsel-parallel kernels.
 
 use exrquy_verify::{run_vectorized_differential, VectorizedConfig};
 

@@ -148,8 +148,9 @@ fn concurrent_prepare_hits_shared_cache() {
 /// budget-trip and cancel-after failpoints must degrade gracefully: a
 /// typed budget (EXRQ0001) or cancellation (EXRQ0002) error — or clean
 /// success when the failpoint is never reached — with no panic, no
-/// poisoned scheduler state, no constructed-node leak into the shared
-/// catalog, and a session that keeps answering afterwards.
+/// constructed-node leak into the shared catalog, and a session that
+/// keeps answering afterwards. Every outcome (output, or error code and
+/// message) must equal the `threads = 1` outcome.
 #[test]
 fn parallel_execution_degrades_gracefully_under_failpoints() {
     let specs = [
@@ -159,6 +160,7 @@ fn parallel_execution_degrades_gracefully_under_failpoints() {
         "cancel-after:3",
         "cancel-after:7",
     ];
+    let render = |items: &[ResultItem]| items.iter().map(ResultItem::render).collect::<Vec<_>>();
     for i in 0..8 {
         for profile in [FuzzProfile::Ordered, FuzzProfile::Unordered] {
             let mut rng = cell_rng(2024, i, profile);
@@ -166,6 +168,7 @@ fn parallel_execution_degrades_gracefully_under_failpoints() {
             let query = pretty(&gen_query(&mut rng, profile));
             let mut s = Session::new();
             s.load_document(FUZZ_DOC_URL, &doc).unwrap();
+            let serial = profile.options().with_threads(1);
             let parallel = profile.options().with_threads(4);
             // A query that errors without failpoints exercises an engine
             // limit; its injected runs could surface that error instead
@@ -175,18 +178,29 @@ fn parallel_execution_degrades_gracefully_under_failpoints() {
             };
             let nodes_before = s.catalog().total_nodes();
             for spec in specs {
-                let opts = parallel
-                    .clone()
-                    .with_failpoints(Failpoints::parse(spec).unwrap());
-                match s.query_with(&query, &opts) {
-                    Ok(_) => {} // the plan never hits the failpoint
-                    Err(e) => assert!(
-                        matches!(e.code(), ErrorCode::EXRQ0001 | ErrorCode::EXRQ0002),
+                let failpoints = Failpoints::parse(spec).unwrap();
+                let outcome = |opts: &QueryOptions| {
+                    s.query_with(&query, &opts.clone().with_failpoints(failpoints.clone()))
+                        .map(|out| render(&out.items))
+                        .map_err(|e| (e.code(), e.render_line()))
+                };
+                let par = outcome(&parallel);
+                if let Err((code, line)) = &par {
+                    assert!(
+                        matches!(code, ErrorCode::EXRQ0001 | ErrorCode::EXRQ0002),
                         "iter {i} [{profile}] `{spec}`: expected a typed \
-                         budget/cancel error, got {}\nquery: {query}",
-                        e.render_line()
-                    ),
+                         budget/cancel error, got {line}\nquery: {query}"
+                    );
                 }
+                // Operators run one at a time in plan order at any thread
+                // count, so a failpoint trips at the same operator with the
+                // same message (or is never reached) either way.
+                assert_eq!(
+                    par,
+                    outcome(&serial),
+                    "iter {i} [{profile}] `{spec}`: threads=4 and threads=1 \
+                     disagree\nquery: {query}"
+                );
             }
             assert_eq!(
                 s.catalog().total_nodes(),
@@ -196,8 +210,6 @@ fn parallel_execution_degrades_gracefully_under_failpoints() {
             // The session is not poisoned: the same query still answers
             // identically after every injected abort.
             let after = s.query_with(&query, &parallel).unwrap();
-            let render =
-                |items: &[ResultItem]| items.iter().map(ResultItem::render).collect::<Vec<_>>();
             assert_eq!(render(&clean.items), render(&after.items));
         }
     }

@@ -3,7 +3,7 @@
 //! fault surfaces as its typed error with no residual session damage.
 
 use exrquy::diag::{ErrorClass, ErrorCode, Failpoints};
-use exrquy::{QueryOptions, Session};
+use exrquy::{QueryOptions, RunOptions, Session};
 use exrquy_verify::{default_cases, run_fault_matrix, FaultCase};
 
 fn session_with_doc() -> Session {
@@ -115,5 +115,49 @@ fn malformed_inject_specs_are_rejected_with_context() {
             err.to_string().contains(bad.split(':').next().unwrap()),
             "{err}"
         );
+    }
+}
+
+#[test]
+fn run_time_failpoints_on_a_fused_cached_plan_trip_like_prepared_ones() {
+    // A serving layer prepares once without failpoints (a fused, cached
+    // plan) and arms failpoints per run. The engine must re-lower that
+    // plan unfused, so each fault trips at the same operator boundary,
+    // with the same message, as when the failpoints are armed at prepare
+    // time. `budget-trip:fun` and `cancel-after:14` land on operators a
+    // fused chain absorbs: without re-lowering they would be skipped or
+    // trip one boundary late.
+    let s = session_with_doc();
+    let query = r#"for $x in doc("d.xml")//x where $x > 1 return $x + 1"#;
+    let opts = QueryOptions::order_indifferent();
+    let fused = s.prepare(query, &opts).expect("prepare");
+    assert!(
+        fused.phys_text().contains("fused["),
+        "{}",
+        fused.phys_text()
+    );
+    assert!(
+        std::sync::Arc::ptr_eq(&fused, &s.prepare(query, &opts).expect("prepare")),
+        "a failpoint-free prepare is cached"
+    );
+    for spec in [
+        "cancel-after:3",
+        "budget-trip:step",
+        "budget-trip:fun",
+        "cancel-after:14",
+    ] {
+        let failpoints = Failpoints::parse(spec).expect("spec");
+        let run = RunOptions {
+            failpoints: Some(failpoints.clone()),
+            ..RunOptions::default()
+        };
+        let at_run = s.execute_with(&fused, &run).expect_err(spec);
+        let prepared = s
+            .prepare(query, &opts.clone().with_failpoints(failpoints))
+            .expect("prepare");
+        assert!(!prepared.phys_text().contains("fused["), "{spec}");
+        let at_prepare = s.execute(&prepared).expect_err(spec);
+        assert_eq!(at_run.code(), at_prepare.code(), "{spec}");
+        assert_eq!(at_run.to_string(), at_prepare.to_string(), "{spec}");
     }
 }
